@@ -96,24 +96,22 @@ def verify_pwl(pwl, *, context: str = "") -> None:
     """Segment list is sorted, non-overlapping, with finite coefficients."""
     from ..core.intervals import ATOL
 
-    prev = None
-    for seg in pwl.segments:
-        if seg.lo > seg.hi:
+    label = context or "PWL"
+    f = pwl.flat
+    prev_hi = None
+    for k in range(0, len(f), 4):
+        quad = f[k:k + 4]
+        lo, hi = quad[:2]
+        if lo > hi:
+            raise ContractViolation(f"{label}: empty segment domain [{lo}, {hi}]")
+        if not all(math.isfinite(v) for v in quad):
+            raise ContractViolation(f"{label}: non-finite segment {quad!r}")
+        if prev_hi is not None and lo < prev_hi - ATOL:
             raise ContractViolation(
-                f"{context or 'PWL'}: empty segment domain [{seg.lo}, {seg.hi}]"
+                f"{label}: segments out of order or overlapping: "
+                f"{f[k - 4:k]!r} then {quad!r}"
             )
-        if not all(
-            math.isfinite(v) for v in (seg.lo, seg.hi, seg.intercept, seg.slope)
-        ):
-            raise ContractViolation(
-                f"{context or 'PWL'}: non-finite segment {seg!r}"
-            )
-        if prev is not None and seg.lo < prev.hi - ATOL:
-            raise ContractViolation(
-                f"{context or 'PWL'}: segments out of order or overlapping: "
-                f"{prev!r} then {seg!r}"
-            )
-        prev = seg
+        prev_hi = hi
 
 
 def verify_nonnegative_caps(analyzer, *, atol: float = 1e-9) -> None:
@@ -213,16 +211,7 @@ def verify_front_equivalence(
         )
     for sa, sb in zip(a, b):
         # exact comparison is the contract (see docstring)
-        if (
-            sa.uid != sb.uid
-            or sa.parity != sb.parity
-            or sa.cost != sb.cost  # repro: noqa[R001]
-            or sa.cap != sb.cap  # repro: noqa[R001]
-            or sa.q != sb.q  # repro: noqa[R001]
-            or sa.domain != sb.domain
-            or sa.arr != sb.arr
-            or sa.diam != sb.diam
-        ):
+        if sa.uid != sb.uid or _solution_value_key(sa) != _solution_value_key(sb):
             raise ContractViolation(
                 f"{label}: solution mismatch — fast uid={sa.uid} "
                 f"({sa.describe()}) vs baseline uid={sb.uid} "
@@ -238,18 +227,9 @@ def _solution_value_key(s):
     tie-breaks and legitimately differ, but every value-bearing field must
     be bitwise equal.  ``None`` functions sort before any segment tuple.
     """
-    dom = tuple((iv.lo, iv.hi) for iv in s.domain.intervals)
-    arr = (
-        (0, ())
-        if s.arr is None
-        else (1, tuple((g.lo, g.hi, g.intercept, g.slope) for g in s.arr.segments))
-    )
-    diam = (
-        (0, ())
-        if s.diam is None
-        else (1, tuple((g.lo, g.hi, g.intercept, g.slope) for g in s.diam.segments))
-    )
-    return (s.parity, s.cost, s.cap, s.q, dom, arr, diam)
+    arr = (0, ()) if s.arr is None else (1, s.arr.flat)
+    diam = (0, ()) if s.diam is None else (1, s.diam.flat)
+    return (s.parity, s.cost, s.cap, s.q, s.domain.flat, arr, diam)
 
 
 def verify_front_values(

@@ -44,8 +44,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..tech.terminals import NEVER
-from .intervals import IntervalSet
+from .intervals import Flat, IntervalSet, _canonical, _difference, _intersect
 from .prefilter import LEQ_EMPTY, LEQ_FULL, domain_subset, leq_status
+from .pwl import _leq_region, _lt_region
 from .solution import Solution
 
 __all__ = ["prune_one", "mfs", "mfs_pairwise"]
@@ -76,8 +77,8 @@ def _scalars_strictly_better_somewhere(by: Solution, s: Solution) -> bool:
     )
 
 
-def _function_leq_region(by_f, s_f, common: IntervalSet) -> IntervalSet:
-    """Region of ``common`` where coordinate ``by_f`` is <= ``s_f``.
+def _function_leq_region(by_f, s_f, common: Flat) -> Flat:
+    """Flat region of ``common`` where coordinate ``by_f`` is <= ``s_f``.
 
     ``None`` encodes the function being identically ``-inf`` (no source /
     no internal pair): ``-inf`` is <= anything, and nothing finite is
@@ -86,17 +87,17 @@ def _function_leq_region(by_f, s_f, common: IntervalSet) -> IntervalSet:
     if by_f is None:
         return common
     if s_f is None:
-        return IntervalSet.empty()
-    return by_f.region_leq(s_f).intersect(common)
+        return ()
+    return _intersect(_leq_region(by_f._flat, s_f._flat, 0.0), common)
 
 
-def _function_lt_region(by_f, s_f, common: IntervalSet) -> IntervalSet:
-    """Region of ``common`` where ``by_f`` is strictly below ``s_f``."""
+def _function_lt_region(by_f, s_f, common: Flat) -> Flat:
+    """Flat region of ``common`` where ``by_f`` is strictly below ``s_f``."""
     if s_f is None:
-        return IntervalSet.empty()
+        return ()
     if by_f is None:
         return common  # -inf < finite everywhere they are both defined
-    return by_f.region_lt(s_f).intersect(common)
+    return _intersect(_lt_region(by_f._flat, s_f._flat, 0.0), common)
 
 
 def prune_one(
@@ -130,6 +131,8 @@ def _prune_one_gated(
     :func:`_scalars_weakly_dominate` before every call, so re-checking
     here would only burn time on the hottest path.
     """
+    s_dom = s.domain._flat
+    by_dom = by.domain._flat
     if prescreen:
         # None coordinates (identically -inf) dominate the call mix; decide
         # them inline and only pay a leq_status call for finite pairs
@@ -158,10 +161,10 @@ def _prune_one_gated(
         # replaces building the interval set
         contained = domain_subset(s.domain, by.domain)
         if contained:
-            common = s.domain
+            common = s_dom
         else:
-            common = s.domain.intersect(by.domain)
-            if common.is_empty:
+            common = _intersect(s_dom, by_dom)
+            if not common:
                 return s
         if arr_st == LEQ_FULL and diam_st == LEQ_FULL and (
             not strict or _scalars_strictly_better_somewhere(by, s)
@@ -170,12 +173,12 @@ def _prune_one_gated(
             # the domain intersection, so skip the per-coordinate regions
             if contained:
                 return None  # survivor = s.domain - s.domain = empty
-            survivor = s.domain.difference(common)
-            if survivor.is_empty:
+            survivor = _difference(s_dom, common)
+            if not survivor:
                 return None
-            if survivor == s.domain:
+            if survivor == s_dom:
                 return s
-            return s.restricted(survivor)
+            return s.restricted(IntervalSet._wrap(survivor))
         # mixed case: a FULL coordinate's region is the whole common
         # domain (the functions cover both solutions' domains), so only
         # the PARTIAL coordinate pays for the region machinery
@@ -183,37 +186,38 @@ def _prune_one_gated(
             region = common
         else:
             region = _function_leq_region(by.arr, s.arr, common)
-            if region.is_empty:
+            if not region:
                 return s
         if diam_st != LEQ_FULL:
             region = _function_leq_region(by.diam, s.diam, region)
-            if region.is_empty:
+            if not region:
                 return s
     else:
-        common = s.domain.intersect(by.domain)
-        if common.is_empty:
+        common = _intersect(s_dom, by_dom)
+        if not common:
             return s
         region = _function_leq_region(by.arr, s.arr, common)
-        if region.is_empty:
+        if not region:
             return s
         region = _function_leq_region(by.diam, s.diam, region)
-        if region.is_empty:
+        if not region:
             return s
 
     if strict and not _scalars_strictly_better_somewhere(by, s):
-        strict_region = _function_lt_region(by.arr, s.arr, common).union(
-            _function_lt_region(by.diam, s.diam, common)
+        strict_region = _canonical(
+            _function_lt_region(by.arr, s.arr, common)
+            + _function_lt_region(by.diam, s.diam, common)
         )
-        region = region.intersect(strict_region)
-        if region.is_empty:
+        region = _intersect(region, strict_region)
+        if not region:
             return s
 
-    survivor = s.domain.difference(region)
-    if survivor.is_empty:
+    survivor = _difference(s_dom, region)
+    if not survivor:
         return None
-    if survivor == s.domain:
+    if survivor == s_dom:
         return s
-    return s.restricted(survivor)
+    return s.restricted(IntervalSet._wrap(survivor))
 
 
 def mfs_pairwise(
@@ -278,83 +282,88 @@ def _cost_run_skips(front: List[Solution]) -> List[int]:
     return nxt
 
 
+def _lower_q_skips(front: List[Solution]) -> List[int]:
+    """``low[i]``: first index past ``i`` whose ``q`` is below ``front[i].q``.
+
+    A killer failing the ``q`` gate certifies every killer up to ``low[i]``:
+    their ``q`` is no smaller, so they fail the same comparison, whatever
+    their run (the next-smaller-element chain, one stack pass).  Jumping
+    past a killer that would have ended the scan is safe: ``(parity,
+    cost)`` only grows along the list, so the landing killer ends it too,
+    and the same prune calls happen in the same order.
+    """
+    low = [len(front)] * len(front)
+    stack: List[int] = []
+    for i, s in enumerate(front):
+        while stack and front[stack[-1]].q > s.q:
+            low[stack.pop()] = i
+        stack.append(i)
+    return low
+
+
 def _merge(
     a: List[Solution], b: List[Solution], prescreen: bool
 ) -> List[Solution]:
     """Cross-prune two internally-minimal sets (the Fig. 4 merge step).
 
-    Both inputs arrive sorted by the pruner's key ``(parity, cost, cap,
-    q, uid)`` — :func:`mfs` pre-sorts, pruning preserves scalars, and the
-    concatenation below keeps every key in ``a`` below every key in ``b``
+    Earlier ``a`` prunes later ``b`` weakly, then the survivors of ``b``
+    prune ``a`` strictly (the module's tie rule).
+    """
+    pruned_b = _prune_by(b, a, False, prescreen)
+    return _prune_by(a, pruned_b, True, prescreen) + pruned_b
+
+
+def _prune_by(
+    victims: List[Solution], killers: List[Solution], strict: bool, prescreen: bool
+) -> List[Solution]:
+    """Prune every victim against a sorted killer list; keep the survivors.
+
+    Both lists arrive sorted by the pruner's key ``(parity, cost, cap, q,
+    uid)`` — :func:`mfs` pre-sorts, pruning preserves scalars, and the
+    merge's concatenation keeps every key in ``a`` below every key in ``b``
     — so a killer scan can stop at the first killer whose parity or cost
     already fails the weak-dominance gate: every later killer fails the
     same exact comparison.  Within an equal ``(parity, cost)`` run the
     killers are cap-ascending, so the first killer failing the cap gate
     certifies the rest of its run; :func:`_cost_run_skips` lets the scan
-    jump whole runs (integer library costs make them long on fat fronts).
+    jump whole runs (integer library costs make them long on fat fronts),
+    and :func:`_lower_q_skips` jumps the killers failing the ``q`` gate.
     """
     atol = _SCALAR_ATOL
-    na = len(a)
-    nxt_a = _cost_run_skips(a)
-    pruned_b: List[Solution] = []
-    for s in b:
+    nk = len(killers)
+    nxt = _cost_run_skips(killers)
+    low = _lower_q_skips(killers)
+    out: List[Solution] = []
+    for s in victims:
         cur: Optional[Solution] = s
         cp = s.parity
         climit = s.cost + atol
         ccap = s.cap + atol
         cq = s.q + atol
         i = 0
-        while i < na:
-            k = a[i]
+        while i < nk:
+            k = killers[i]
             kp = k.parity
             if kp != cp:
                 if kp > cp:
                     break
-                i = nxt_a[i]
+                i = nxt[i]
                 continue
             if k.cost > climit:
                 break
             if k.cap > ccap:
-                i = nxt_a[i]
+                i = nxt[i]
                 continue
-            if k.q <= cq:
-                cur = _prune_one_gated(cur, k, False, prescreen)
-                if cur is None:
-                    break
-            i += 1
-        if cur is not None:
-            pruned_b.append(cur)
-    npb = len(pruned_b)
-    nxt_pb = _cost_run_skips(pruned_b)
-    pruned_a: List[Solution] = []
-    for s in a:
-        cur = s
-        cp = s.parity
-        climit = s.cost + atol
-        ccap = s.cap + atol
-        cq = s.q + atol
-        i = 0
-        while i < npb:
-            k = pruned_b[i]
-            kp = k.parity
-            if kp != cp:
-                if kp > cp:
-                    break
-                i = nxt_pb[i]
+            if k.q > cq:
+                i = low[i]
                 continue
-            if k.cost > climit:
+            cur = _prune_one_gated(cur, k, strict, prescreen)
+            if cur is None:
                 break
-            if k.cap > ccap:
-                i = nxt_pb[i]
-                continue
-            if k.q <= cq:
-                cur = _prune_one_gated(cur, k, True, prescreen)
-                if cur is None:
-                    break
             i += 1
         if cur is not None:
-            pruned_a.append(cur)
-    return pruned_a + pruned_b
+            out.append(cur)
+    return out
 
 
 def mfs(

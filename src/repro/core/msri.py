@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..check import contracts
@@ -565,18 +565,18 @@ def _root_set(
     (child,) = tree.children(root)
 
     candidates: List[RootSolution] = []
+    sized = [(opt, opt.applied_to(term)) for opt in options.driver_options or ()]
     for a in _augment_over_edge(tree, tech, child, sets[child], c_max, options, widths):
         if options.driver_options is None:
             rs = evaluate_at_root(a, root, term)
             if rs is not None:
                 candidates.append(rs)
         else:
-            for opt in options.driver_options:
-                sized = opt.applied_to(term)
+            for opt, sized_term in sized:
                 rs = evaluate_at_root(
                     a,
                     root,
-                    sized,
+                    sized_term,
                     extra_cost=opt.cost,
                     trace_placement=Placement(root, opt),
                 )
@@ -767,7 +767,9 @@ def _enforce_segment_budget(
             continue
         arr = s.arr if s.arr is None else s.arr.simplified(budget)
         diam = s.diam if s.diam is None else s.diam.simplified(budget)
-        slim = replace(s, arr=arr, diam=diam, uid=s.uid)
+        slim = Solution(
+            s.cost, s.cap, s.q, arr, diam, s.domain, s.trace, s.parity, s.uid
+        )
         if observing:
             _OBS_SEG_DROPPED.add(
                 widest - max_segment_count((slim.arr, slim.diam))

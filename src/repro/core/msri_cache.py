@@ -49,7 +49,7 @@ from ..rctree.topology import NodeKind, RoutingTree
 from ..tech.parameters import Technology
 from .intervals import IntervalSet
 from .msri import MSRIOptions
-from .pwl import PWL, Segment
+from .pwl import PWL
 from .solution import Placement, Solution, Trace
 
 __all__ = [
@@ -72,10 +72,9 @@ _OBS_EVICTIONS = obs.Counter("msri.cache.evictions")
 _KIND_CODE = {NodeKind.TERMINAL: 0, NodeKind.STEINER: 1, NodeKind.INSERTION: 2}
 
 #: One packed solution: ``(cost, cap, q, parity, domain, arr, diam,
-#: placements)`` with ``domain`` a tuple of ``(lo, hi)`` pairs, ``arr`` /
-#: ``diam`` either None or a tuple of ``(lo, hi, intercept, slope)``
-#: quadruples, and ``placements`` a tuple of ``(preorder_position, what)``
-#: pairs in the trace's collect() order.
+#: placements)`` with ``domain`` / ``arr`` / ``diam`` the live objects' own
+#: flat tuples (``arr`` / ``diam`` may be None), and ``placements`` a tuple
+#: of ``(preorder_position, what)`` pairs in the trace's collect() order.
 PackedSolution = Tuple
 
 
@@ -228,20 +227,10 @@ def pack_front(
                 s.cap,
                 s.q,
                 s.parity,
-                tuple((iv.lo, iv.hi) for iv in s.domain.intervals),
-                None
-                if s.arr is None
-                else tuple(
-                    (g.lo, g.hi, g.intercept, g.slope) for g in s.arr.segments
-                ),
-                None
-                if s.diam is None
-                else tuple(
-                    (g.lo, g.hi, g.intercept, g.slope) for g in s.diam.segments
-                ),
-                tuple(
-                    (positions[p.node], p.what) for p in s.trace.collect()
-                ),
+                s.domain._flat,
+                None if s.arr is None else s.arr._flat,
+                None if s.diam is None else s.diam._flat,
+                tuple((positions[p.node], p.what) for p in s.trace.collect()),
             )
         )
     return tuple(records)
@@ -268,18 +257,10 @@ def unpack_front(
             trace = trace.extended(Placement(order[position], what))
         out.append(
             Solution(
-                cost=cost,
-                cap=cap,
-                q=q,
-                arr=None
-                if arr is None
-                else PWL(Segment(lo, hi, ic, sl) for lo, hi, ic, sl in arr),
-                diam=None
-                if diam is None
-                else PWL(Segment(lo, hi, ic, sl) for lo, hi, ic, sl in diam),
-                domain=IntervalSet.from_pairs(dom),
-                trace=trace,
-                parity=parity,
+                cost, cap, q,
+                None if arr is None else PWL._wrap(arr),
+                None if diam is None else PWL._wrap(diam),
+                IntervalSet._wrap(dom), trace, parity,
             )
         )
     return out

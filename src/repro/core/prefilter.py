@@ -69,7 +69,7 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
     """Classify where ``by_f <= s_f`` holds on the common domain.
 
     Allocation-free replica of the per-segment case analysis in
-    :func:`repro.core.pwl._line_leq_region` (at ``atol=0``): each
+    :func:`repro.core.pwl._leq_region` (at ``atol=0``): each
     overlapping segment pair is *fully* inside the region, *fully*
     outside, or split by one crossing.  Any split — or any mix of inside
     and outside segments — is :data:`LEQ_PARTIAL`, which callers resolve
@@ -83,29 +83,25 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
         return LEQ_FULL
     if s_f is None:
         return LEQ_EMPTY
-    # manual merge over the two sorted segment lists (the _overlaps walk,
-    # inlined: this is the hottest loop in the pruner).  Every difference
-    # below replicates _line_leq_region's expressions operation for
-    # operation — value(x) spelled as intercept + slope * x — so the
+    # manual merge over the two sorted flat quadruple tuples (the
+    # _leq_region walk, inlined: this is the hottest loop in the pruner).
+    # Every difference below replicates _leq_region's expressions operation
+    # for operation — line values spelled intercept + slope * x — so the
     # classification is bit-identical to the region machinery's.
-    fs = by_f._segments
-    gs = s_f._segments
+    fs = by_f._flat
+    gs = s_f._flat
     nf = len(fs)
     ng = len(gs)
-    if nf == 1 and ng == 1:
+    if nf == 4 and ng == 4:
         # single-segment pair (about half of all calls): one overlap, so
         # the loop below reduces to a direct classification — same
         # expressions, same outcomes
-        sa = fs[0]
-        sb = gs[0]
-        lo = sa.lo if sa.lo > sb.lo else sb.lo
-        hi = sa.hi if sa.hi < sb.hi else sb.hi
+        alo, ahi, ai, asl = fs
+        blo, bhi, bi, bsl = gs
+        lo = alo if alo > blo else blo
+        hi = ahi if ahi < bhi else bhi
         if lo > hi:
             return LEQ_EMPTY
-        ai = sa.intercept
-        asl = sa.slope
-        bi = sb.intercept
-        bsl = sb.slope
         da_lo = (ai + asl * lo) - (bi + bsl * lo)
         da_hi = (ai + asl * hi) - (bi + bsl * hi)
         if da_lo <= 0.0 and da_hi <= 0.0:
@@ -121,17 +117,11 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
     i = j = 0
     any_in = any_out = False
     while i < nf and j < ng:
-        sa = fs[i]
-        sb = gs[j]
-        sa_hi = sa.hi
-        sb_hi = sb.hi
-        lo = sa.lo if sa.lo > sb.lo else sb.lo
-        hi = sa_hi if sa_hi < sb_hi else sb_hi
+        alo, ahi, blo, bhi = fs[i], fs[i + 1], gs[j], gs[j + 1]
+        lo = alo if alo > blo else blo
+        hi = ahi if ahi < bhi else bhi
         if lo <= hi:
-            ai = sa.intercept
-            asl = sa.slope
-            bi = sb.intercept
-            bsl = sb.slope
+            ai, asl, bi, bsl = fs[i + 2], fs[i + 3], gs[j + 2], gs[j + 3]
             da_lo = (ai + asl * lo) - (bi + bsl * lo)
             da_hi = (ai + asl * hi) - (bi + bsl * hi)
             if da_lo <= 0.0 and da_hi <= 0.0:
@@ -147,7 +137,7 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
                 if abs(ds) <= _EPS:
                     # (numerically) parallel lines whose endpoint
                     # differences straddle zero only by noise; classify by
-                    # the midpoint — _line_leq_region's disambiguation
+                    # the midpoint — _leq_region's disambiguation
                     mid = 0.5 * (lo + hi)
                     if (ai + asl * mid) - (bi + bsl * mid) <= 0.0:
                         if any_out:
@@ -159,10 +149,10 @@ def leq_status(by_f: Optional[PWL], s_f: Optional[PWL]) -> int:
                         any_out = True
                 else:
                     return LEQ_PARTIAL
-        if sa_hi < sb_hi:
-            i += 1
+        if ahi < bhi:
+            i += 4
         else:
-            j += 1
+            j += 4
     if not any_in:
         return LEQ_EMPTY
     return LEQ_FULL if not any_out else LEQ_PARTIAL
@@ -175,12 +165,13 @@ def domain_subset(a: IntervalSet, b: IntervalSet) -> bool:
     a linear walk: every interval of ``a`` must sit inside one interval of
     ``b``.
     """
-    bivs = b.intervals
+    af = a._flat
+    bf = b._flat
     j = 0
-    for iv in a.intervals:
-        while j < len(bivs) and bivs[j].hi < iv.lo:
-            j += 1
-        if j >= len(bivs) or bivs[j].lo > iv.lo or bivs[j].hi < iv.hi:
+    for k in range(0, len(af), 2):
+        while j < len(bf) and bf[j + 1] < af[k]:
+            j += 2
+        if j >= len(bf) or bf[j] > af[k] or bf[j + 1] < af[k + 1]:
             return False
     return True
 
@@ -229,8 +220,8 @@ def prefilter_front(
     killers: List[tuple] = []
     out: List[Solution] = []
     for s in ordered:
-        dom = s.domain
-        lo, hi = dom.lo, dom.hi
+        dom = s.domain._flat
+        lo, hi = dom[0], dom[-1]
         s_arr = s.arr
         s_diam = s.diam
         dead = False
@@ -256,6 +247,6 @@ def prefilter_front(
         if dead:
             continue
         out.append(s)
-        if len(killers) < max_killers and len(dom) == 1:
+        if len(killers) < max_killers and len(dom) == 2:
             killers.append((s.cap, s.q, lo, hi, s.arr, s.diam, s.parity))
     return out

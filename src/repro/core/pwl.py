@@ -23,21 +23,37 @@ subset pruning (Sec. IV-D), a solution may only remain optimal on part of
 the ``c_E`` axis, so its PWLs acquire *holes*.  Within each maximal run of
 contiguous segments the function is continuous (all our generators are
 maxima of continuous functions), but the class itself does not require it.
+
+A :class:`PWL` stores one flat tuple of ``(lo, hi, intercept, slope)``
+quadruples sorted by domain (docs/ALGORITHMS.md §14); :class:`Segment` is
+only a view built on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..check import contracts
-from .intervals import ATOL, Interval, IntervalSet
+from .intervals import ATOL, Flat, IntervalSet, _canonical, _difference
 
 __all__ = ["Segment", "PWL", "maximum_all", "max_segment_count"]
 
 #: Tolerance used when merging collinear segments and comparing breakpoints.
 _EPS = 1e-9
+
+_INF = math.inf
+
+
+def _check_segment(lo: float, hi: float, intercept: float, slope: float) -> None:
+    """Raise the typed error for an invalid segment quadruple."""
+    if lo > hi:
+        raise ValueError(f"segment domain empty: [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("segment domain must be finite")
+    if not (math.isfinite(intercept) and math.isfinite(slope)):
+        raise ValueError("segment coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -55,20 +71,11 @@ class Segment:
     slope: float
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"segment domain empty: [{self.lo}, {self.hi}]")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("segment domain must be finite")
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
-            raise ValueError("segment coefficients must be finite")
+        _check_segment(self.lo, self.hi, self.intercept, self.slope)
 
     def value(self, x: float) -> float:
         """Evaluate the segment's line at ``x`` (domain not checked)."""
         return self.intercept + self.slope * x
-
-    def interval(self) -> Interval:
-        """The segment's domain as an :class:`Interval`."""
-        return Interval(self.lo, self.hi)
 
     def same_line(self, other: "Segment", atol: float = _EPS) -> bool:
         """True when both segments lie on (numerically) the same line."""
@@ -78,47 +85,102 @@ class Segment:
         )
 
 
-def _canonicalize(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
-    """Sort segments, reject overlaps, and merge touching collinear runs."""
-    segs = sorted(segments, key=lambda s: (s.lo, s.hi))
-    for a, b in zip(segs, segs[1:]):
-        if b.lo < a.hi - ATOL:
-            raise ValueError(f"overlapping segment domains: {a} and {b}")
-    merged: List[Segment] = []
-    for seg in segs:
-        if (
-            merged
-            and abs(seg.lo - merged[-1].hi) <= ATOL
-            and merged[-1].same_line(seg)
+def _quads(f: Sequence[float]):
+    """Iterate a flat sequence as ``(lo, hi, intercept, slope)`` tuples."""
+    it = iter(f)
+    return zip(it, it, it, it)
+
+
+def _canonicalize(q: Sequence[float]) -> Flat:
+    """Check, sort and merge computed quadruples into canonical form.
+
+    Every quadruple needs finite members and ``lo <= hi`` (a failure re-runs
+    the :class:`Segment` checks for the typed error); the list is sorted by
+    ``(lo, hi)`` only when out of order; overlaps beyond ``ATOL`` are
+    rejected and touching collinear runs merge into their first line.
+    """
+    n = len(q)
+    if n == 4:
+        lo, hi, b, m = q
+        if not (-_INF < lo <= hi < _INF and -_INF < b < _INF and -_INF < m < _INF):
+            _check_segment(*q)
+        return tuple(q)
+    ordered = True
+    plo = phi = -_INF
+    for k in range(0, n, 4):
+        lo, hi = q[k], q[k + 1]
+        if not (
+            -_INF < lo <= hi < _INF
+            and -_INF < q[k + 2] < _INF
+            and -_INF < q[k + 3] < _INF
         ):
-            prev = merged[-1]
-            merged[-1] = Segment(prev.lo, seg.hi, prev.intercept, prev.slope)
+            _check_segment(*q[k:k + 4])
+        if lo < plo or (lo == plo and hi < phi):
+            ordered = False
+        plo, phi = lo, hi
+    if not n:
+        return ()
+    if not ordered:
+        q = [v for quad in sorted(_quads(q), key=lambda t: (t[0], t[1])) for v in quad]
+    out = [q[0], q[1], q[2], q[3]]
+    for k in range(4, n, 4):
+        lo, prev_hi, b, m = q[k], q[k - 3], q[k + 2], q[k + 3]
+        if lo < prev_hi - ATOL:
+            raise ValueError(
+                f"overlapping segment domains: {Segment(*q[k - 4:k])} and "
+                f"{Segment(*q[k:k + 4])}"
+            )
+        # same_line against the run's first segment, whose line the merged
+        # segment keeps (max(1.0, x) spelled out: 1.0 unless x > 1.0)
+        rb, rm = abs(out[-2]), abs(out[-1])
+        if (
+            abs(lo - prev_hi) <= ATOL
+            and abs(out[-2] - b) <= _EPS * (rb if rb > 1.0 else 1.0)
+            and abs(out[-1] - m) <= _EPS * (rm if rm > 1.0 else 1.0)
+        ):
+            out[-3] = q[k + 1]
         else:
-            merged.append(seg)
-    return tuple(merged)
+            out += (lo, q[k + 1], b, m)
+    return tuple(out)
+
+
+def _make(flat: Sequence[float]) -> "PWL":
+    """A PWL from computed quadruples (checked, sorted, merged)."""
+    return PWL._wrap(_canonicalize(flat))
 
 
 class PWL:
     """An immutable piece-wise linear function with a (possibly holey) domain."""
 
-    __slots__ = ("_segments",)
+    __slots__ = ("_flat",)
 
     def __init__(self, segments: Iterable[Segment]):
-        self._segments = _canonicalize(segments)
+        self._flat: Flat = _canonicalize(
+            [v for s in segments for v in (s.lo, s.hi, s.intercept, s.slope)]
+        )
         if contracts.contracts_enabled():
             contracts.verify_pwl(self, context="PWL construction")
+
+    @classmethod
+    def _wrap(cls, flat: Flat) -> "PWL":
+        """Adopt an already-canonical quadruple tuple."""
+        f = object.__new__(cls)
+        f._flat = flat
+        if contracts.contracts_enabled():
+            contracts.verify_pwl(f, context="PWL construction")
+        return f
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, lo: float, hi: float) -> "PWL":
         """The constant function ``value`` on ``[lo, hi]``."""
-        return cls((Segment(lo, hi, value, 0.0),))
+        return _make((lo, hi, value, 0.0))
 
     @classmethod
     def linear(cls, intercept: float, slope: float, lo: float, hi: float) -> "PWL":
         """The line ``intercept + slope * x`` on ``[lo, hi]``."""
-        return cls((Segment(lo, hi, intercept, slope),))
+        return _make((lo, hi, intercept, slope))
 
     @classmethod
     def from_breakpoints(cls, xs: Sequence[float], ys: Sequence[float]) -> "PWL":
@@ -128,100 +190,88 @@ class PWL:
         """
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need at least two matching breakpoints")
-        segs = []
+        flat: List[float] = []
         for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
             if x1 <= x0:
                 raise ValueError("breakpoint xs must be strictly increasing")
             slope = (y1 - y0) / (x1 - x0)
-            segs.append(Segment(x0, x1, y0 - slope * x0, slope))
-        return cls(segs)
+            flat += (x0, x1, y0 - slope * x0, slope)
+        return _make(flat)
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def flat(self) -> Flat:
+        """The canonical ``(lo, hi, intercept, slope, ...)`` tuple."""
+        return self._flat
+
+    @property
     def segments(self) -> Tuple[Segment, ...]:
-        return self._segments
+        return tuple(Segment(*q) for q in _quads(self._flat))
 
     @property
     def num_segments(self) -> int:
-        return len(self._segments)
+        return len(self._flat) >> 2
 
     @property
     def is_empty(self) -> bool:
         """True when the domain is empty (the function is nowhere defined)."""
-        return not self._segments
+        return not self._flat
 
     def domain(self) -> IntervalSet:
         """The set of ``x`` where the function is defined."""
-        return IntervalSet(seg.interval() for seg in self._segments)
+        return IntervalSet._wrap(
+            _canonical([x for q in _quads(self._flat) for x in q[:2]])
+        )
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
 
     def evaluate(self, x: float, atol: float = ATOL) -> float:
         """Value at ``x``; raises ``ValueError`` outside the domain."""
-        for seg in self._segments:
-            if seg.lo - atol <= x <= seg.hi + atol:
-                return seg.value(x)
-        raise ValueError(f"x={x} outside PWL domain {self.domain()!r}")
+        y = self.evaluate_or(x, None, atol)
+        if y is None:
+            raise ValueError(f"x={x} outside PWL domain {self.domain()!r}")
+        return y
 
     def evaluate_or(self, x: float, default: float, atol: float = ATOL) -> float:
         """Value at ``x`` or ``default`` when ``x`` is outside the domain."""
-        for seg in self._segments:
-            if seg.lo - atol <= x <= seg.hi + atol:
-                return seg.value(x)
+        for lo, hi, b, m in _quads(self._flat):
+            if lo - atol <= x <= hi + atol:
+                return b + m * x
         return default
 
     def defined_at(self, x: float, atol: float = ATOL) -> bool:
-        return any(seg.lo - atol <= x <= seg.hi + atol for seg in self._segments)
+        return any(lo - atol <= x <= hi + atol for lo, hi, _, _ in _quads(self._flat))
 
     def breakpoints(self) -> List[float]:
         """Sorted list of all domain endpoints."""
-        pts: List[float] = []
-        for seg in self._segments:
-            pts.append(seg.lo)
-            pts.append(seg.hi)
-        return sorted(set(pts))
+        return sorted(set(x for q in _quads(self._flat) for x in q[:2]))
 
     def min_value(self) -> Tuple[float, float]:
         """Return ``(x*, f(x*))`` minimizing f over its domain."""
-        if self.is_empty:
-            raise ValueError("cannot minimize an empty PWL")
-        best_x, best_y = None, math.inf
-        for seg in self._segments:
-            for x in (seg.lo, seg.hi):
-                y = seg.value(x)
-                if y < best_y:
-                    best_x, best_y = x, y
-        if best_x is None:
-            raise RuntimeError("non-empty PWL yielded no minimizer")
-        return best_x, best_y
+        return min(self._endpoint_values(), key=lambda p: p[1])
 
     def max_value(self) -> Tuple[float, float]:
         """Return ``(x*, f(x*))`` maximizing f over its domain."""
+        return max(self._endpoint_values(), key=lambda p: p[1])
+
+    def _endpoint_values(self) -> List[Tuple[float, float]]:
         if self.is_empty:
-            raise ValueError("cannot maximize an empty PWL")
-        best_x, best_y = None, -math.inf
-        for seg in self._segments:
-            for x in (seg.lo, seg.hi):
-                y = seg.value(x)
-                if y > best_y:
-                    best_x, best_y = x, y
-        if best_x is None:
-            raise RuntimeError("non-empty PWL yielded no maximizer")
-        return best_x, best_y
+            raise ValueError("cannot take the extremum of an empty PWL")
+        return [(x, b + m * x) for lo, hi, b, m in _quads(self._flat) for x in (lo, hi)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PWL):
             return NotImplemented
-        return self._segments == other._segments
+        return self._flat == other._flat
 
     def __hash__(self) -> int:
-        return hash(self._segments)
+        return hash(self._flat)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(
-            f"[{s.lo:g},{s.hi:g}]: {s.intercept:g}+{s.slope:g}x" for s in self._segments
+            f"[{lo:g},{hi:g}]: {b:g}+{m:g}x" for lo, hi, b, m in _quads(self._flat)
         )
         return f"PWL({parts or 'empty'})"
 
@@ -248,8 +298,8 @@ class PWL:
         Used when an intrinsic buffer delay or a sink's downstream delay is
         appended to every internal path.
         """
-        return PWL(
-            Segment(s.lo, s.hi, s.intercept + a, s.slope) for s in self._segments
+        return _make(
+            [v for lo, hi, b, m in _quads(self._flat) for v in (lo, hi, b + a, m)]
         )
 
     def add_linear(self, a: float, b: float) -> "PWL":
@@ -260,8 +310,8 @@ class PWL:
         between the subtree and the rest of the net multiplies the unknown
         external capacitance.
         """
-        return PWL(
-            Segment(s.lo, s.hi, s.intercept + a, s.slope + b) for s in self._segments
+        return _make(
+            [v for lo, hi, i, m in _quads(self._flat) for v in (lo, hi, i + a, m + b)]
         )
 
     def shift(self, c: float) -> "PWL":
@@ -273,26 +323,33 @@ class PWL:
         translates left by ``c``.  Any part of the domain that would become
         negative is dropped (external capacitance cannot be negative).
         """
-        segs = []
-        for s in self._segments:
-            lo, hi = s.lo - c, s.hi - c
+        out: List[float] = []
+        for lo, hi, b, m in _quads(self._flat):
+            lo, hi = lo - c, hi - c
             if hi < 0.0:
                 continue
-            lo = max(lo, 0.0)
             # g(x) = f(x + c) = intercept + slope * (x + c)
-            segs.append(Segment(lo, hi, s.intercept + s.slope * c, s.slope))
-        return PWL(segs)
+            out += (0.0 if 0.0 > lo else lo, hi, b + m * c, m)
+        return _make(out)
 
     def restrict(self, region: IntervalSet) -> "PWL":
         """Restrict the domain to ``region`` (for MFS pruning)."""
-        segs: List[Segment] = []
-        for s in self._segments:
-            for iv in region:
-                lo = max(s.lo, iv.lo)
-                hi = min(s.hi, iv.hi)
+        r = region._flat
+        f = self._flat
+        if len(r) == 2 and f and r[0] <= f[0] and max(f[1::4]) <= r[1]:
+            # one interval covering the whole domain: every segment would be
+            # re-emitted unchanged, and canonicalizing is then the identity
+            return self
+        out: List[float] = []
+        for slo, shi, b, m in _quads(f):
+            for k in range(0, len(r), 2):
+                if r[k] > shi:
+                    break  # sorted region: no later interval reaches the segment
+                lo = r[k] if r[k] > slo else slo
+                hi = r[k + 1] if r[k + 1] < shi else shi
                 if lo <= hi:
-                    segs.append(Segment(lo, hi, s.intercept, s.slope))
-        return PWL(segs)
+                    out += (lo, hi, b, m)
+        return _make(out)
 
     def maximum(self, other: "PWL") -> "PWL":
         """Piece-wise maximum of two PWLs on the *intersection* of domains.
@@ -301,11 +358,11 @@ class PWL:
         solutions are joined at a branch, the combined solution only exists
         for ``c_E`` values where both children's functions are defined.
         """
-        return _combine(self, other, max_of=True)
+        return _combine(self._flat, other._flat, max_of=True)
 
     def minimum(self, other: "PWL") -> "PWL":
         """Piece-wise minimum on the intersection of domains."""
-        return _combine(self, other, max_of=False)
+        return _combine(self._flat, other._flat, max_of=False)
 
     def region_leq(self, other: "PWL", atol: float = 0.0) -> IntervalSet:
         """The subset of the common domain where ``self(x) <= other(x) + atol``.
@@ -313,10 +370,7 @@ class PWL:
         This is the comparison primitive of MFS pruning: where the challenger
         is no worse than the incumbent in one coordinate.
         """
-        regions: List[Interval] = []
-        for lo, hi, sa, sb in _overlaps(self, other):
-            regions.extend(_line_leq_region(sa, sb, lo, hi, atol))
-        return IntervalSet(regions)
+        return IntervalSet._wrap(_leq_region(self._flat, other._flat, atol))
 
     def region_lt(self, other: "PWL", atol: float = 0.0) -> IntervalSet:
         """Subset of the common domain where ``self(x) < other(x) - atol``.
@@ -325,17 +379,7 @@ class PWL:
         matter for pruning) region where ``other <= self``; used for
         strict-dominance tie-breaking.
         """
-        leq = self.region_leq(other, atol=-atol if atol else 0.0)
-        geq = other.region_leq(self, atol=atol)
-        return leq.difference(geq)
-
-    def sample(self, xs: Iterable[float]) -> List[Tuple[float, float]]:
-        """Evaluate at many points, skipping those outside the domain."""
-        out = []
-        for x in xs:
-            if self.defined_at(x):
-                out.append((x, self.evaluate(x)))
-        return out
+        return IntervalSet._wrap(_lt_region(self._flat, other._flat, atol))
 
     def simplified(self, max_segments: int) -> "PWL":
         """A conservative upper bound of ``self`` with a segment budget.
@@ -356,7 +400,7 @@ class PWL:
         """
         if max_segments < 1:
             raise ValueError(f"segment budget must be >= 1, got {max_segments}")
-        segs = list(self._segments)
+        segs = list(self.segments)
         while len(segs) > max_segments:
             best_cost = math.inf
             best_at = -1
@@ -372,102 +416,111 @@ class PWL:
             if best_seg is None:
                 break  # only holes left between segments; budget unreachable
             segs[best_at:best_at + 2] = [best_seg]
-        return self if len(segs) == len(self._segments) else PWL(segs)
+        return self if len(segs) == self.num_segments else PWL(segs)
 
 
 # -- internal machinery -----------------------------------------------------
+#
+# The walks below run on flat tuples, and each spells ``max(a, b)`` as ``b if
+# b > a else a`` and ``min(a, b)`` as ``b if b < a else a`` (the first
+# argument wins ties, ``-0.0`` included) and every line value as
+# ``intercept + slope * x``: each float is the object layout's, bit for bit.
 
 
-def _overlaps(f: PWL, g: PWL) -> Iterable[Tuple[float, float, Segment, Segment]]:
-    """Yield ``(lo, hi, seg_f, seg_g)`` for every overlap of segment domains.
+def _combine(fs: Flat, gs: Flat, *, max_of: bool) -> PWL:
+    """Shared implementation of piece-wise max/min on the domain overlap.
 
-    Linear merge over the two sorted segment lists.
+    Linear merge over the two sorted segment lists; each overlap is cut at
+    the lines' interior crossing (if any) and every piece takes the line
+    that wins at its midpoint.
     """
+    out: List[float] = []
+    points = False
     i = j = 0
-    fs, gs = f.segments, g.segments
     while i < len(fs) and j < len(gs):
-        lo = max(fs[i].lo, gs[j].lo)
-        hi = min(fs[i].hi, gs[j].hi)
+        flo, fhi, fb, fm = fs[i], fs[i + 1], fs[i + 2], fs[i + 3]
+        glo, ghi, gb, gm = gs[j], gs[j + 1], gs[j + 2], gs[j + 3]
+        lo = glo if glo > flo else flo
+        hi = ghi if ghi < fhi else fhi
         if lo <= hi:
-            yield lo, hi, fs[i], gs[j]
-        if fs[i].hi < gs[j].hi:
-            i += 1
+            cuts: Tuple[float, ...] = (lo, hi)
+            ds = fm - gm
+            # a sub-_EPS slope difference would place the crossing far
+            # outside any finite domain of interest
+            if abs(ds) > _EPS:
+                xc = (gb - fb) / ds
+                if lo + _EPS < xc < hi - _EPS:
+                    cuts = (lo, xc, hi)
+            for a, b in zip(cuts, cuts[1:]):
+                mid = 0.5 * (a + b)
+                fv = fb + fm * mid
+                gv = gb + gm * mid
+                wins = fv >= gv if max_of else fv <= gv
+                out += (a, b, fb, fm) if wins else (a, b, gb, gm)
+            points = points or lo == hi
+        if fhi < ghi:
+            i += 4
         else:
-            j += 1
+            j += 4
+    return _make(_dedupe_points(out) if points else out)
 
 
-def _combine(f: PWL, g: PWL, *, max_of: bool) -> PWL:
-    """Shared implementation of piece-wise max/min on the domain overlap."""
-    pick: Callable[[Segment, Segment, float], bool]
-    if max_of:
-        pick = lambda a, b, x: a.value(x) >= b.value(x)  # noqa: E731
-    else:
-        pick = lambda a, b, x: a.value(x) <= b.value(x)  # noqa: E731
-
-    out: List[Segment] = []
-    for lo, hi, sa, sb in _overlaps(f, g):
-        xc = _crossing(sa, sb, lo, hi)
-        cuts = [lo, hi] if xc is None else [lo, xc, hi]
-        for a, b in zip(cuts, cuts[1:]):
-            if b < a:
-                continue
-            mid = 0.5 * (a + b)
-            chosen = sa if pick(sa, sb, mid) else sb
-            out.append(Segment(a, b, chosen.intercept, chosen.slope))
-        if lo == hi:  # point overlap: zip above produced nothing
-            chosen = sa if pick(sa, sb, lo) else sb
-            out.append(Segment(lo, hi, chosen.intercept, chosen.slope))
-    return PWL(_dedupe_points(out))
-
-
-def _dedupe_points(segments: List[Segment]) -> List[Segment]:
+def _dedupe_points(flat: List[float]) -> List[float]:
     """Drop point segments swallowed by an adjacent full segment."""
-    full = [s for s in segments if s.hi > s.lo]
-    points = [s for s in segments if s.hi == s.lo]
-    kept = list(full)
-    for p in points:
-        if not any(f.lo - ATOL <= p.lo <= f.hi + ATOL for f in full):
-            kept.append(p)
-    return kept
+    quads = list(_quads(flat))
+    full = [q for q in quads if q[1] > q[0]]
+    return [
+        v
+        for q in quads
+        if q[1] > q[0] or not any(f[0] - ATOL <= q[0] <= f[1] + ATOL for f in full)
+        for v in q
+    ]
 
 
-def _crossing(a: Segment, b: Segment, lo: float, hi: float) -> Optional[float]:
-    """Interior crossing point of two lines within ``(lo, hi)``, if any."""
-    ds = a.slope - b.slope
-    if abs(ds) <= _EPS:
-        # (numerically) parallel: a sub-_EPS slope difference would place
-        # the crossing far outside any finite domain of interest
-        return None
-    x = (b.intercept - a.intercept) / ds
-    if lo + _EPS < x < hi - _EPS:
-        return x
-    return None
+def _leq_region(fs: Flat, gs: Flat, atol: float) -> Flat:
+    """Flat region of the common domain where ``f(x) <= g(x) + atol``.
+
+    Per overlapping segment pair: both endpoint differences decide the
+    whole overlap in or out; a sign change is solved for the crossing, and
+    (numerically) parallel lines straddling zero only by noise are
+    classified at the midpoint.
+    """
+    out: List[float] = []
+    i = j = 0
+    while i < len(fs) and j < len(gs):
+        flo, fhi, glo, ghi = fs[i], fs[i + 1], gs[j], gs[j + 1]
+        lo = glo if glo > flo else flo
+        hi = ghi if ghi < fhi else fhi
+        if lo <= hi:
+            fb, fm, gb, gm = fs[i + 2], fs[i + 3], gs[j + 2], gs[j + 3]
+            da_lo = (fb + fm * lo) - (gb + gm * lo) - atol
+            da_hi = (fb + fm * hi) - (gb + gm * hi) - atol
+            if da_lo <= 0.0 and da_hi <= 0.0:
+                out += (lo, hi)
+            elif da_lo > 0.0 and da_hi > 0.0:
+                pass
+            elif abs(fm - gm) <= _EPS:
+                mid = 0.5 * (lo + hi)
+                if (fb + fm * mid) - (gb + gm * mid) <= atol:
+                    out += (lo, hi)
+            else:
+                # exactly one sign change: solve (f - g)(x) = atol
+                x = (gb + atol - fb) / (fm - gm)
+                x = lo if lo > x else x
+                x = hi if hi < x else x
+                out += (lo, x) if da_lo <= 0.0 else (x, hi)
+        if fhi < ghi:
+            i += 4
+        else:
+            j += 4
+    return _canonical(out)
 
 
-def _line_leq_region(
-    a: Segment, b: Segment, lo: float, hi: float, atol: float
-) -> List[Interval]:
-    """Intervals within ``[lo, hi]`` where ``a(x) <= b(x) + atol``."""
-    da_lo = a.value(lo) - b.value(lo) - atol
-    da_hi = a.value(hi) - b.value(hi) - atol
-    if da_lo <= 0.0 and da_hi <= 0.0:
-        return [Interval(lo, hi)]
-    if da_lo > 0.0 and da_hi > 0.0:
-        return []
-    ds = a.slope - b.slope
-    if abs(ds) <= _EPS:
-        # (numerically) parallel lines whose endpoint differences straddle
-        # zero only by floating-point noise; classify by the midpoint
-        mid = 0.5 * (lo + hi)
-        if a.value(mid) - b.value(mid) <= atol:
-            return [Interval(lo, hi)]
-        return []
-    # exactly one sign change: solve (a - b)(x) = atol
-    x = (b.intercept + atol - a.intercept) / ds
-    x = min(max(x, lo), hi)
-    if da_lo <= 0.0:
-        return [Interval(lo, x)]
-    return [Interval(x, hi)]
+def _lt_region(fs: Flat, gs: Flat, atol: float) -> Flat:
+    """Flat region where ``f(x) < g(x) - atol``: ``<=`` minus ``>=``."""
+    return _difference(
+        _leq_region(fs, gs, -atol if atol else 0.0), _leq_region(gs, fs, atol)
+    )
 
 
 def _chord_upper(a: Segment, b: Segment) -> Segment:
@@ -539,6 +592,6 @@ def max_segment_count(functions: Iterable[Optional["PWL"]]) -> int:
     """
     widest = 0
     for f in functions:
-        if f is not None and f.num_segments > widest:
-            widest = f.num_segments
+        if f is not None and len(f._flat) >> 2 > widest:
+            widest = len(f._flat) >> 2
     return widest

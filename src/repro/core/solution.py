@@ -32,7 +32,7 @@ into it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..tech.buffers import Repeater
@@ -110,7 +110,6 @@ class Trace:
 _EMPTY_TRACE = Trace()
 
 
-@dataclass(frozen=True)
 class Solution:
     """One DP subsolution (see module docstring for field semantics).
 
@@ -125,21 +124,33 @@ class Solution:
     inverting repeater flips it; joining subtrees requires agreement; the
     root accepts only parity 0.  Solutions of different parity are
     incomparable during pruning.
+
+    A ``__slots__`` record (the DP builds hundreds of thousands per net); a
+    negative ``uid`` mints the next one.  Instances compare by identity and
+    are never mutated: every transformer returns a new solution.
     """
 
-    cost: float
-    cap: float
-    q: float
-    arr: Optional[PWL]
-    diam: Optional[PWL]
-    domain: IntervalSet
-    trace: Trace = _EMPTY_TRACE
-    parity: int = 0
-    uid: int = -1
+    __slots__ = ("cost", "cap", "q", "arr", "diam", "domain", "trace", "parity", "uid")
 
-    def __post_init__(self) -> None:
-        if self.uid < 0:
-            object.__setattr__(self, "uid", next(_ids))
+    def __init__(
+        self,
+        cost: float,
+        cap: float,
+        q: float,
+        arr: Optional[PWL],
+        diam: Optional[PWL],
+        domain: IntervalSet,
+        trace: Trace = _EMPTY_TRACE,
+        parity: int = 0,
+        uid: int = -1,
+    ):
+        self.cost, self.cap, self.q = cost, cap, q
+        self.arr, self.diam, self.domain = arr, diam, domain
+        self.trace, self.parity = trace, parity
+        self.uid = next(_ids) if uid < 0 else uid
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Solution(uid={self.uid}, {self.describe()})"
 
     @property
     def has_source(self) -> bool:
@@ -156,12 +167,16 @@ class Solution:
             return None
         if new_domain == self.domain:
             return self
-        return replace(
-            self,
-            domain=new_domain,
-            arr=self.arr.restrict(new_domain) if self.arr is not None else None,
-            diam=self.diam.restrict(new_domain) if self.diam is not None else None,
-            uid=self.uid,
+        return Solution(
+            self.cost,
+            self.cap,
+            self.q,
+            self.arr.restrict(new_domain) if self.arr is not None else None,
+            self.diam.restrict(new_domain) if self.diam is not None else None,
+            new_domain,
+            self.trace,
+            self.parity,
+            self.uid,
         )
 
     def check_invariants(self) -> None:

@@ -10,7 +10,12 @@ from .buffers import (
     default_wire_library,
     scaled_library,
 )
-from .parameters import DEFAULT_TECHNOLOGY, UM_PER_CM, Technology
+from .parameters import (
+    DEFAULT_TECHNOLOGY,
+    UM_PER_CM,
+    NonFiniteParameterError,
+    Technology,
+)
 from .terminals import NEVER, Terminal
 
 __all__ = [
@@ -21,6 +26,7 @@ __all__ = [
     "Technology",
     "Terminal",
     "NEVER",
+    "NonFiniteParameterError",
     "DEFAULT_BUFFER",
     "DEFAULT_TECHNOLOGY",
     "UM_PER_CM",

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+from .parameters import require_finite
+
 __all__ = [
     "Buffer",
     "Repeater",
@@ -50,6 +52,7 @@ class Buffer:
     is_inverting: bool = False
 
     def __post_init__(self) -> None:
+        require_finite("buffer", self)
         if self.output_resistance <= 0.0:
             raise ValueError("buffer output resistance must be positive")
         if self.input_capacitance < 0.0:
@@ -104,6 +107,7 @@ class Repeater:
     is_inverting: bool = False
 
     def __post_init__(self) -> None:
+        require_finite("repeater", self)
         for label, value in (("r_ab", self.r_ab), ("r_ba", self.r_ba)):
             if value <= 0.0:
                 raise ValueError(f"{label} must be positive")
@@ -253,6 +257,7 @@ class WireClass:
     cost_per_um: float
 
     def __post_init__(self) -> None:
+        require_finite("wire class", self)
         if self.width <= 0.0:
             raise ValueError("wire width factor must be positive")
         if self.cost_per_um < 0.0:

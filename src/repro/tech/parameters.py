@@ -25,13 +25,42 @@ stage, 0.2 pF subsequent stage); see DESIGN.md §5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import Dict, Tuple
 
-__all__ = ["Technology", "DEFAULT_TECHNOLOGY", "UM_PER_CM"]
+__all__ = [
+    "Technology",
+    "DEFAULT_TECHNOLOGY",
+    "UM_PER_CM",
+    "NonFiniteParameterError",
+    "require_finite",
+]
 
 #: Micrometres per centimetre; the paper's nets live on a 1 cm x 1 cm grid.
 UM_PER_CM = 10_000.0
+
+
+class NonFiniteParameterError(ValueError):
+    """A technology, library or terminal parameter is NaN or infinite."""
+
+
+def require_finite(
+    kind: str, record, *, allow_never: Tuple[str, ...] = (), extra=None
+) -> None:
+    """Reject NaN and ±inf among the float fields of a named ``record``.
+
+    ``extra`` adds more named values (a technology's ``extras``); fields
+    in ``allow_never`` may be ``-inf``, the ``NEVER`` sentinel of a
+    terminal role that is not played.
+    """
+    values = vars(record) if extra is None else {**extra, **vars(record)}
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            if not (value == -math.inf and name in allow_never):
+                raise NonFiniteParameterError(
+                    f"{kind} {record.name}: {name} must be finite, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -59,6 +88,7 @@ class Technology:
     extras: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        require_finite("technology", self, extra=self.extras)
         if self.unit_resistance <= 0.0:
             raise ValueError("unit_resistance must be positive")
         if self.unit_capacitance <= 0.0:

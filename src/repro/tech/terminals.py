@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from .parameters import require_finite
+
 __all__ = ["Terminal", "NEVER"]
 
 #: Sentinel for "this terminal never plays this role": a -inf augmented
@@ -45,6 +47,9 @@ class Terminal:
     intrinsic_delay: float = 0.0    # ps; optional driver intrinsic delay
 
     def __post_init__(self) -> None:
+        require_finite(
+            "terminal", self, allow_never=("arrival_time", "downstream_delay")
+        )
         if self.capacitance < 0.0:
             raise ValueError(f"terminal {self.name}: negative capacitance")
         if self.resistance <= 0.0 and self.is_source:
@@ -53,8 +58,6 @@ class Terminal:
             )
         if self.intrinsic_delay < 0.0:
             raise ValueError(f"terminal {self.name}: negative intrinsic delay")
-        if math.isnan(self.arrival_time) or math.isnan(self.downstream_delay):
-            raise ValueError(f"terminal {self.name}: NaN timing parameter")
 
     @property
     def position(self) -> Tuple[float, float]:

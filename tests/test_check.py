@@ -454,6 +454,20 @@ def test_injected_pareto_violation_is_caught():
         contracts.verify_pareto([dominator, dominated])
 
 
+def test_front_equivalence_catches_value_and_uid_drift():
+    s = _scalar_solution(cost=1.0, cap=1.0)
+    same = Solution(s.cost, s.cap, s.q, None, None, s.domain, uid=s.uid)
+    contracts.verify_front_equivalence([s], [same])
+    holey = Solution(
+        s.cost, s.cap, s.q, None, None, IntervalSet.single(0.0, 0.5), uid=s.uid
+    )
+    with pytest.raises(ContractViolation, match="solution mismatch"):
+        contracts.verify_front_equivalence([s], [holey])
+    renumbered = Solution(s.cost, s.cap, s.q, None, None, s.domain)
+    with pytest.raises(ContractViolation, match="solution mismatch"):
+        contracts.verify_front_equivalence([s], [renumbered])
+
+
 def test_incomparable_solutions_pass_pareto_check():
     cheap_but_heavy = _scalar_solution(cost=1.0, cap=2.0)
     costly_but_light = _scalar_solution(cost=2.0, cap=1.0)
@@ -479,9 +493,9 @@ def test_injected_negative_upstream_capacitance_is_caught():
 
 def test_corrupt_pwl_is_caught():
     p = PWL([Segment(0.0, 1.0, 0.0, 1.0)])
-    p._segments = (
-        Segment(0.5, 2.0, 0.0, 1.0),
-        Segment(0.0, 1.0, 0.0, 1.0),
+    p._flat = (
+        0.5, 2.0, 0.0, 1.0,
+        0.0, 1.0, 0.0, 1.0,
     )  # out of order and overlapping
     with pytest.raises(ContractViolation, match="out of order"):
         contracts.verify_pwl(p)

@@ -9,10 +9,12 @@ from repro.tech import (
     DEFAULT_TECHNOLOGY,
     NEVER,
     Buffer,
+    NonFiniteParameterError,
     Repeater,
     RepeaterLibrary,
     Technology,
     Terminal,
+    WireClass,
     default_repeater_library,
     scaled_library,
 )
@@ -216,3 +218,56 @@ class TestTerminal:
     def test_moved(self):
         t = Terminal("t", 0, 0).moved(5.0, 6.0)
         assert t.position == (5.0, 6.0)
+
+
+# -- finiteness at every technology-object boundary ----------------------------
+
+_BAD = [math.nan, math.inf, -math.inf]
+
+_VALID = {
+    Terminal: dict(name="t", x=0.0, y=0.0, arrival_time=0.0, downstream_delay=0.0,
+                   capacitance=0.1, resistance=100.0, intrinsic_delay=1.0),
+    Buffer: dict(name="b", intrinsic_delay=20.0, output_resistance=50.0,
+                 input_capacitance=0.25, cost=1.0),
+    Repeater: dict(name="r", d_ab=20.0, r_ab=50.0, c_a=0.25, d_ba=20.0,
+                   r_ba=50.0, c_b=0.25, cost=2.0),
+    WireClass: dict(name="w", width=1.0, cost_per_um=0.001),
+    Technology: dict(unit_resistance=0.1, unit_capacitance=0.01),
+}
+
+_FIELDS = [
+    (cls, name) for cls, kw in _VALID.items() for name, value in kw.items()
+    if name != "name"
+]
+
+
+@pytest.mark.parametrize("cls,field", _FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, f in _FIELDS])
+@pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+def test_non_finite_field_is_rejected(cls, field, bad):
+    cls(**_VALID[cls])  # the baseline is valid
+    if cls is Terminal and field in ("arrival_time", "downstream_delay") and (
+        bad == NEVER
+    ):
+        assert getattr(cls(**{**_VALID[cls], field: bad}), field) == NEVER
+        return
+    with pytest.raises(NonFiniteParameterError, match=field):
+        cls(**{**_VALID[cls], field: bad})
+
+
+def test_non_finite_technology_extra_is_rejected():
+    with pytest.raises(NonFiniteParameterError, match="prev_stage_resistance"):
+        Technology(0.1, 0.01, extras={"prev_stage_resistance": math.inf})
+
+
+def test_non_finite_error_is_a_value_error():
+    assert issubclass(NonFiniteParameterError, ValueError)
+    with pytest.raises(ValueError, match="capacitance must be finite"):
+        Terminal(name="a", x=0, y=0, capacitance=float("nan"))
+
+
+def test_never_roles_still_construct():
+    t = Terminal("t", 0.0, 0.0, arrival_time=NEVER)
+    assert not t.is_source and t.is_sink
+    u = Terminal("u", 0.0, 0.0, downstream_delay=NEVER)
+    assert u.is_source and not u.is_sink
